@@ -12,7 +12,10 @@ import (
 	hera "herajvm"
 	"herajvm/internal/cache"
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
 	"herajvm/internal/experiments"
+	"herajvm/internal/isa"
+	"herajvm/internal/jit"
 	"herajvm/internal/mem"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
@@ -216,5 +219,76 @@ func BenchmarkMainMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Write64(uint32(i)&0xffff8, uint64(i))
 		_ = m.Read64(uint32(i) & 0xffff8)
+	}
+}
+
+// mpegaudioMethods builds mpegaudio and returns every method the JIT
+// can compile (bytecode-bearing, neither native nor abstract).
+func mpegaudioMethods(b *testing.B) []*classfile.Method {
+	prog, err := workloads.MPEGAudio().Build(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := prog.Resolve(); err != nil {
+		b.Fatal(err)
+	}
+	var methods []*classfile.Method
+	for _, c := range prog.Classes() {
+		for _, m := range c.Methods {
+			if !m.IsNative() && !m.IsAbstract() && m.Code != nil {
+				methods = append(methods, m)
+			}
+		}
+	}
+	return methods
+}
+
+// compileSPE compiles methods for the SPE on a fresh compiler over its
+// own code region of main.
+func compileSPE(b *testing.B, main *mem.Main, methods []*classfile.Method) []*jit.CompiledMethod {
+	region, err := mem.NewLayout(main.Size(), 4096).Carve("spe-code", main.Size()/2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := jit.NewCompiler(isa.SPE, main, region)
+	c.InternString = func(string) (uint32, error) { return 0, nil }
+	cms := make([]*jit.CompiledMethod, len(methods))
+	for i, m := range methods {
+		if cms[i], err = c.Compile(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cms
+}
+
+// BenchmarkJITCompile measures the JIT compile layer: baseline-compiling
+// all of mpegaudio's methods for the SPE on a fresh compiler.
+func BenchmarkJITCompile(b *testing.B) {
+	methods := mpegaudioMethods(b)
+	main := mem.NewMain(8 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compileSPE(b, main, methods)
+	}
+}
+
+// BenchmarkSuperblockBuild measures superblock construction: building
+// the block at every index of mpegaudio's SPE methods, the most that
+// execution can ever ask Block for.
+func BenchmarkSuperblockBuild(b *testing.B) {
+	methods := mpegaudioMethods(b)
+	main := mem.NewMain(8 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cms := compileSPE(b, main, methods)
+		b.StartTimer()
+		for _, cm := range cms {
+			for p := range cm.Code {
+				cm.Block(p)
+			}
+		}
 	}
 }

@@ -12,6 +12,12 @@
 // a thread running on that core type" (§3.1). The VM asks each target's
 // Compiler for a method the first time a thread running on that core
 // kind invokes it.
+//
+// The same rule holds one level down. Compile only records where the
+// compiled code's straight-line runs lie; the superblock starting at an
+// index, with its micro-op lowering, is built the first time execution
+// enters that index (CompiledMethod.Block), so code that never runs is
+// never lowered.
 package jit
 
 import (
@@ -46,11 +52,20 @@ type CompiledMethod struct {
 	// in instruction selection, so raw machine PCs do not transfer).
 	BCIndex []int32
 	EntryOf []int32
-	// SB memoizes, per instruction index, the maximal pure straight-line
-	// superblock starting there (Len 0 = none); see Superblock. The VM's
-	// executor fast-forwards whole blocks through it. nil on hand-built
-	// CompiledMethods that bypassed Compile; the executor then steps.
-	SB []Superblock
+	// SB memoizes, per instruction index, the superblock starting there
+	// (see Superblock); the VM's executor fast-forwards whole blocks
+	// through it. Compile only sizes the table: Block fills entry p the
+	// first time execution reaches p, so only blocks that run are ever
+	// built. A nil entry is not built yet; a shared Len-0 block means
+	// none starts there. A CompiledMethod belongs to one VM, and only the
+	// goroutine running that VM fills the table, so sharing one across
+	// VMs needs every block built first, or a lock around Block. SB is
+	// nil on hand-built CompiledMethods that bypassed Compile; the
+	// executor then steps.
+	SB []*Superblock
+	// runEnd[p] is the replayable end of the straight-line run holding
+	// index p, or -1 when p lies in no run (see scanRuns).
+	runEnd []int32
 	// Addr and Size locate the encoded code in simulated main memory.
 	Addr mem.Addr
 	Size uint32
@@ -80,6 +95,26 @@ func (cm *CompiledMethod) TranslatePC(pc int, to *CompiledMethod) int {
 		return len(to.Code)
 	}
 	return int(to.EntryOf[cm.BCIndex[pc]])
+}
+
+// Block returns the superblock starting at Code index p (Len 0 when
+// none does), building and memoising it the first time it is asked
+// for. The method must come from Compile (SB non-nil).
+func (cm *CompiledMethod) Block(p int) *Superblock {
+	if b := cm.SB[p]; b != nil {
+		return b
+	}
+	return cm.build(p)
+}
+
+// build is Block's first-entry path, kept out of line so the memoised
+// lookup inlines into the executor.
+//
+//go:noinline
+func (cm *CompiledMethod) build(p int) *Superblock {
+	b := buildBlock(cm.Code, p, int(cm.runEnd[p]))
+	cm.SB[p] = b
+	return b
 }
 
 // CompiledHandler is one lowered exception-table entry.
@@ -151,8 +186,10 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 		return nil, err
 	}
 	// Branch targets are resolved by lower's fixup pass, so trailing
-	// gotos in superblocks carry final Code indices.
-	cm.SB = discoverSuperblocks(cm.Code)
+	// gotos in superblocks carry final Code indices. Blocks themselves
+	// are built on first entry (Block).
+	cm.runEnd = scanRuns(cm.Code)
+	cm.SB = make([]*Superblock, len(cm.Code))
 	// Allocate the code real space in main memory and fill it with a
 	// recognisable pattern: the code cache DMAs these bytes around.
 	addr, err := c.region.Alloc(cm.Size, 16)

@@ -8,7 +8,8 @@ import (
 )
 
 // This file lowers a superblock's stack-machine instructions into
-// slot-addressed micro-ops at discovery time, so the executor's fast
+// slot-addressed micro-ops when the block is built, the first time
+// execution enters it (CompiledMethod.Block), so the executor's fast
 // path can replay a block without per-instruction operand-stack
 // bookkeeping. The lowering is a static stack-to-slot conversion: the
 // compiler tracks a symbolic operand stack, folds constants into

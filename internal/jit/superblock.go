@@ -44,11 +44,6 @@ type Superblock struct {
 	ClassCycles [isa.NumClasses]uint64
 	// StackDelta is the block's net operand-stack growth in slots.
 	StackDelta int32
-	// ResMask has bit r set when the block is valid under data-cache
-	// residency class r. Pure blocks touch no cache, so discovery sets
-	// ResMaskAll; the mask is the hook for future residency-dependent
-	// blocks (e.g. memoized hit-cost memory runs).
-	ResMask uint8
 
 	// FirstLen is the instruction count of the block's first pure
 	// segment — the whole block when it absorbs no memory instructions.
@@ -64,7 +59,7 @@ type Superblock struct {
 	// uses the stack-walking replay — same semantics, slower host path.
 	// A block that absorbs memory instructions always has MicroOK set
 	// (the stack-walking replay handles only pure code); when the
-	// extended lowering bails, discovery falls back to the memory-free
+	// extended lowering bails, buildBlock falls back to the memory-free
 	// prefix as the block.
 	MicroOK  bool
 	Micro    []MicroOp
@@ -134,11 +129,6 @@ const (
 	EndIfCmpRef
 	EndIfNull
 )
-
-// ResMaskAll marks a block valid under every cache-residency class
-// (must cover cache.NumResidencyClasses bits; an equality test in the
-// vm package pins the two constants together).
-const ResMaskAll uint8 = (1 << 3) - 1
 
 // pureOp reports whether op can always join a superblock: it cannot
 // trap, branch, call, return, or touch heap, caches, monitors, the
@@ -241,142 +231,152 @@ func stackDeltaOf(op isa.Op) int32 {
 	return 0
 }
 
-// discoverSuperblocks computes, for every instruction index, the
-// maximal superblock starting there (Len 0 when none does). It runs
-// after branch-target fixups so trailing gotos carry resolved targets.
-//
-// Within each maximal run [s, e) of pure and absorbable-memory
-// instructions — optionally extended through one terminating goto or
-// conditional branch — every index gets the suffix block reaching the
-// run's end, so a thread whose quantum expired mid-run resumes with a
-// (shorter) block at its exact PC. When the extended micro lowering of
-// a suffix bails (typically a memory instruction consuming operands
-// the suffix did not push), the suffix falls back to its memory-free
-// prefix, which the stack-walking replay can always handle.
-func discoverSuperblocks(code []isa.Instr) []Superblock {
-	sb := make([]Superblock, len(code))
+// noBlock is the shared Len-0 block Block memoises at indices where no
+// superblock starts.
+var noBlock = &Superblock{}
+
+// terminalOf classifies a control transfer that can close a run: an
+// unconditional goto (EndFall: static target, fixed cost) or one
+// conditional branch, whose outcome the executor decides from the
+// replayed stack.
+func terminalOf(op isa.Op) (end uint8, ok bool) {
+	switch op {
+	case isa.OpGoto:
+		return EndFall, true
+	case isa.OpIf:
+		return EndIf, true
+	case isa.OpIfCmpI:
+		return EndIfCmpI, true
+	case isa.OpIfCmpRef:
+		return EndIfCmpRef, true
+	case isa.OpIfNull:
+		return EndIfNull, true
+	}
+	return EndFall, false
+}
+
+// scanRuns is Compile's share of superblock construction, one O(n)
+// pass that lowers nothing. A run is a maximal stretch of pure and
+// absorbable-memory instructions (a guarded divide may continue a run
+// but not open one), extended through one terminating goto or
+// conditional branch. For every index inside a run scanRuns records the
+// run's replayable end: the terminal's index, or the run's exclusive
+// end when it has no terminal. Indices in no run get -1. It runs after
+// lower's branch fixups, so terminals carry resolved targets.
+func scanRuns(code []isa.Instr) []int32 {
+	ends := make([]int32, len(code))
 	for s := 0; s < len(code); {
-		// Find the maximal run of in-context-admissible instructions.
 		e := s
 		for e < len(code) && (pureOp(code[e].Op) || memOp(code[e].Op) ||
 			(e > s && guardedDiv(code, e))) {
 			e++
 		}
 		if e == s {
+			ends[s] = -1
 			s++
 			continue
 		}
-		// A trailing control transfer joins the run: an unconditional
-		// goto (static target, fixed cost) or one conditional branch,
-		// whose outcome the executor decides from the replayed stack.
-		gotoEnd := false
-		end := EndFall
-		if e < len(code) {
-			switch code[e].Op {
-			case isa.OpGoto:
-				gotoEnd = true
-				e++
-			case isa.OpIf:
-				end = EndIf
-				e++
-			case isa.OpIfCmpI:
-				end = EndIfCmpI
-				e++
-			case isa.OpIfCmpRef:
-				end = EndIfCmpRef
-				e++
-			case isa.OpIfNull:
-				end = EndIfNull
-				e++
-			}
-		}
-		// The replayable (micro-compilable) prefix excludes the terminal:
-		// a goto has no data effect, and a conditional branch reads the
-		// operands the replay leaves just above the block's final SP. The
-		// terminal's cost and instruction count still belong to the
-		// block's final segment, so the compiler receives it separately.
 		pe := e
-		var term *isa.Instr
-		if gotoEnd || end != EndFall {
-			pe = e - 1
-			term = &code[e-1]
-		}
-		setTerminal := func(b *Superblock, q int) {
-			// q is the block's exclusive end within [s, pe]; the terminal
-			// applies only when the block reaches the full prefix.
-			if q == pe && term != nil {
-				b.Len++
-				b.StackDelta += stackDeltaOf(term.Op)
-				b.End = end
-				if gotoEnd {
-					b.Target = term.A
-				} else {
-					b.Target = term.B
-					b.Cond = term.A
-				}
-			} else {
-				b.Target = int32(q)
+		if e < len(code) {
+			if _, ok := terminalOf(code[e].Op); ok {
+				e++
 			}
 		}
-		for p := e - 1; p >= s; p-- {
-			in := code[p]
-			if guardedDivOp(in.Op) || memOp(in.Op) {
-				// A branch may land on a guarded div with an unproven
-				// divisor on the stack, and a memory instruction's operands
-				// come from before the entry; blocks run through both, but
-				// neither starts one.
-				continue
-			}
-			var b Superblock
-			b.ResMask = ResMaskAll
-			mb, ok := compileMicro(code[p:pe], term)
-			if ok {
-				for q := p; q < pe; q++ {
-					b.Len++
-					b.StackDelta += stackDeltaOf(code[q].Op)
-				}
-				setTerminal(&b, pe)
-				b.Cycles, b.ClassCycles, b.FirstLen = mb.FirstCycles, mb.FirstClass, mb.FirstLen
-				b.MicroOK = true
-				b.Micro, b.LFlags, b.SFlags, b.MaxDepth = mb.Micro, mb.LFlags, mb.SFlags, mb.MaxDepth
-				b.Bounds, b.Segs, b.Mats = mb.Bounds, mb.Segs, mb.Mats
-				b.BLFlags, b.BSFlags = mb.BLFlags, mb.BSFlags
-				sb[p] = b
-				continue
-			}
-			// Fallback: the longest memory-free prefix from p. Its whole
-			// cost is static, so it charges in one step and the
-			// stack-walking replay covers a second lowering bail.
-			q := p
-			for q < pe && !memOp(code[q].Op) {
-				q++
-			}
-			if q == p {
-				continue
-			}
-			for r := p; r < q; r++ {
-				b.Len++
-				b.Cycles += uint64(code[r].Cost)
-				b.ClassCycles[code[r].Op.Class()] += uint64(code[r].Cost)
-				b.StackDelta += stackDeltaOf(code[r].Op)
-			}
-			setTerminal(&b, q)
-			if q == pe && term != nil {
-				b.Cycles += uint64(term.Cost)
-				b.ClassCycles[term.Op.Class()] += uint64(term.Cost)
-			}
-			b.FirstLen = b.Len
-			var fterm *isa.Instr
-			if q == pe {
-				fterm = term
-			}
-			if fmb, fok := compileMicro(code[p:q], fterm); fok {
-				b.MicroOK = true
-				b.Micro, b.LFlags, b.SFlags, b.MaxDepth = fmb.Micro, fmb.LFlags, fmb.SFlags, fmb.MaxDepth
-			}
-			sb[p] = b
+		for i := s; i < e; i++ {
+			ends[i] = int32(pe)
 		}
 		s = e
 	}
-	return sb
+	return ends
+}
+
+// buildBlock builds the superblock starting at index p of a run whose
+// replayable end is pe (see scanRuns). The block reaches the run's end,
+// so a thread whose quantum expired mid-run resumes with a (shorter)
+// block at its exact PC. When the extended micro lowering bails
+// (typically a memory instruction consuming operands the block did not
+// push), the block falls back to its memory-free prefix, which the
+// stack-walking replay can always handle. It returns noBlock when no
+// block starts at p.
+func buildBlock(code []isa.Instr, p, pe int) *Superblock {
+	if pe < 0 || guardedDivOp(code[p].Op) || memOp(code[p].Op) {
+		// A branch may land on a guarded div with an unproven divisor on
+		// the stack, and a memory instruction's operands come from before
+		// the entry; blocks run through both, but neither starts one.
+		return noBlock
+	}
+	// The replayable (micro-compilable) range [p, pe) excludes the
+	// terminal: a goto has no data effect, and a conditional branch reads
+	// the operands the replay leaves just above the block's final SP.
+	// The terminal's cost and instruction count still belong to the
+	// block's final segment, so the compiler receives it separately.
+	var term *isa.Instr
+	if pe < len(code) {
+		if _, ok := terminalOf(code[pe].Op); ok {
+			term = &code[pe]
+		}
+	}
+	b := new(Superblock)
+	if mb, ok := compileMicro(code[p:pe], term); ok {
+		for q := p; q < pe; q++ {
+			b.Len++
+			b.StackDelta += stackDeltaOf(code[q].Op)
+		}
+		b.terminate(pe, pe, term)
+		b.Cycles, b.ClassCycles, b.FirstLen = mb.FirstCycles, mb.FirstClass, mb.FirstLen
+		b.MicroOK = true
+		b.Micro, b.LFlags, b.SFlags, b.MaxDepth = mb.Micro, mb.LFlags, mb.SFlags, mb.MaxDepth
+		b.Bounds, b.Segs, b.Mats = mb.Bounds, mb.Segs, mb.Mats
+		b.BLFlags, b.BSFlags = mb.BLFlags, mb.BSFlags
+		return b
+	}
+	// Fallback: the longest memory-free prefix from p. Its whole cost is
+	// static, so it charges in one step and the stack-walking replay
+	// covers a second lowering bail.
+	q := p
+	for q < pe && !memOp(code[q].Op) {
+		q++
+	}
+	if q == p {
+		return noBlock
+	}
+	for r := p; r < q; r++ {
+		b.Len++
+		b.Cycles += uint64(code[r].Cost)
+		b.ClassCycles[code[r].Op.Class()] += uint64(code[r].Cost)
+		b.StackDelta += stackDeltaOf(code[r].Op)
+	}
+	b.terminate(q, pe, term)
+	var fterm *isa.Instr
+	if q == pe && term != nil {
+		fterm = term
+		b.Cycles += uint64(term.Cost)
+		b.ClassCycles[term.Op.Class()] += uint64(term.Cost)
+	}
+	b.FirstLen = b.Len
+	if fmb, fok := compileMicro(code[p:q], fterm); fok {
+		b.MicroOK = true
+		b.Micro, b.LFlags, b.SFlags, b.MaxDepth = fmb.Micro, fmb.LFlags, fmb.SFlags, fmb.MaxDepth
+	}
+	return b
+}
+
+// terminate sets the exit of a block whose replayable part ends at q.
+// Only a block reaching the run's replayable end pe takes the run's
+// terminal: Len and StackDelta count it, End holds its kind and Target
+// its destination (Cond its condition code). Any other block falls
+// through to q.
+func (b *Superblock) terminate(q, pe int, term *isa.Instr) {
+	if q != pe || term == nil {
+		b.Target = int32(q)
+		return
+	}
+	b.Len++
+	b.StackDelta += stackDeltaOf(term.Op)
+	b.End, _ = terminalOf(term.Op)
+	if term.Op == isa.OpGoto {
+		b.Target = term.A
+	} else {
+		b.Target, b.Cond = term.B, term.A
+	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
+	"herajvm/internal/mem"
 )
 
 // sbMethod compiles a method on the SPE backend and returns its code
@@ -26,6 +27,12 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 		t.Fatal(err)
 	}
 	return cm
+}
+
+// codeMethod wraps hand-built code in the block table Compile would
+// give it, so Block works without a classfile method.
+func codeMethod(code []isa.Instr) *CompiledMethod {
+	return &CompiledMethod{Code: code, SB: make([]*Superblock, len(code)), runEnd: scanRuns(code)}
 }
 
 // TestSuperblockSuffixRuns checks that a pure straight-line prefix gets
@@ -53,7 +60,7 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		t.Fatalf("no return in %v", cm.Code)
 	}
 	for p := 0; p < end; p++ {
-		b := cm.SB[p]
+		b := cm.Block(p)
 		if int(b.Len) != end-p {
 			t.Fatalf("pc %d: Len=%d want %d", p, b.Len, end-p)
 		}
@@ -74,11 +81,8 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		if b.StackDelta != delta {
 			t.Fatalf("pc %d: StackDelta=%d want %d", p, b.StackDelta, delta)
 		}
-		if b.ResMask != ResMaskAll {
-			t.Fatalf("pc %d: ResMask=%#x want %#x", p, b.ResMask, ResMaskAll)
-		}
 	}
-	if cm.SB[end].Len != 0 {
+	if cm.Block(end).Len != 0 {
 		t.Errorf("return must not start a block")
 	}
 }
@@ -111,11 +115,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 	for i, in := range cm.Code {
 		switch in.Op {
 		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
-			if cm.SB[i].Len != 0 {
-				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.SB[i].Len)
+			if cm.Block(i).Len != 0 {
+				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.Block(i).Len)
 			}
 		}
-		if b := cm.SB[i]; b.Len > 0 {
+		if b := cm.Block(i); b.Len > 0 {
 			for q := i; q < i+int(b.Len); q++ {
 				op := cm.Code[q].Op
 				last := q == i+int(b.Len)-1
@@ -145,11 +149,11 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpAddI, Cost: 1},                         // second pure segment
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
-	sb := discoverSuperblocks(code)
-	if sb[2].Len != 0 {
-		t.Errorf("memory op must not start a block: %+v", sb[2])
+	cm := codeMethod(code)
+	if b := cm.Block(2); b.Len != 0 {
+		t.Errorf("memory op must not start a block: %+v", b)
 	}
-	b := sb[0]
+	b := cm.Block(0)
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
 	}
@@ -205,7 +209,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if brIdx < 0 {
 		t.Fatal("no conditional branch emitted")
 	}
-	b := cm.SB[brIdx-2] // the LoadI beginning the run
+	b := cm.Block(brIdx - 2) // the LoadI beginning the run
 	if int(b.Len) != 3 || b.End != EndIfCmpI {
 		t.Fatalf("block %+v: want Len 3 ending in EndIfCmpI", b)
 	}
@@ -216,7 +220,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if lone := cm.SB[brIdx]; lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
+	if lone := cm.Block(brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
 		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, StackDelta -2", lone)
 	}
 }
@@ -251,7 +255,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// The block starting at the loop-body instruction right after the
 	// conditional branch must run through the goto and land on its
 	// target.
-	body := cm.SB[gotoIdx-1] // the inc preceding the goto
+	body := cm.Block(gotoIdx - 1) // the inc preceding the goto
 	if body.Len != 2 {
 		t.Fatalf("body block Len=%d want 2 (inc+goto)", body.Len)
 	}
@@ -259,7 +263,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 		t.Fatalf("body Target=%d want goto target %d", body.Target, cm.Code[gotoIdx].A)
 	}
 	// The goto alone is also a (Len 1) block.
-	if g := cm.SB[gotoIdx]; g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
+	if g := cm.Block(gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
 	}
 }
@@ -290,19 +294,19 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 		t.Fatalf("want 2 divs, got %v", divs)
 	}
 	guarded, unguarded := divs[0], divs[1]
-	if cm.SB[guarded].Len != 0 {
+	if cm.Block(guarded).Len != 0 {
 		t.Errorf("guarded div must not start a block")
 	}
 	// The block from the start must cover the guarded div but stop
 	// before the unguarded one.
-	b := cm.SB[0]
+	b := cm.Block(0)
 	if b.Len == 0 || 0+int(b.Len) <= guarded {
 		t.Errorf("block at 0 (Len=%d) should cover the guarded div at %d", b.Len, guarded)
 	}
 	if 0+int(b.Len) > unguarded {
 		t.Errorf("block at 0 (Len=%d) must stop before the unguarded div at %d", b.Len, unguarded)
 	}
-	if cm.SB[unguarded].Len != 0 {
+	if cm.Block(unguarded).Len != 0 {
 		t.Errorf("unguarded div must not start a block")
 	}
 }
@@ -316,11 +320,75 @@ func TestSuperblockZeroDivisorNotGuarded(t *testing.T) {
 		{Op: isa.OpDivI, Cost: 4},
 		{Op: isa.OpReturn, A: 1, Cost: 2},
 	}
-	sb := discoverSuperblocks(code)
-	if b := sb[0]; int(b.Len) != 2 {
+	cm := codeMethod(code)
+	if b := cm.Block(0); int(b.Len) != 2 {
 		t.Errorf("run must end before the zero-divisor div: %+v", b)
 	}
-	if sb[2].Len != 0 {
+	if cm.Block(2).Len != 0 {
 		t.Errorf("zero-divisor div must not be in any block start")
+	}
+}
+
+// TestBlockMemoised checks a second Block(p) returns the block the
+// first call built, and that indices nobody asked for stay unbuilt.
+func TestBlockMemoised(t *testing.T) {
+	cm := sbMethod(t, func(a *classfile.Asm) {
+		a.ConstI(3)
+		a.ConstI(4)
+		a.AddI()
+		a.Ret()
+	})
+	for p, b := range cm.SB {
+		if b != nil {
+			t.Fatalf("Compile built the block at %d", p)
+		}
+	}
+	first := cm.Block(0)
+	if again := cm.Block(0); again != first {
+		t.Fatalf("second Block(0) built a new block: %p != %p", again, first)
+	}
+	if cm.SB[1] != nil {
+		t.Errorf("Block(0) built the block at 1 too")
+	}
+}
+
+// straightLine compiles a method of n pure bytecodes (store/load pairs
+// on one local) ending in a return, on a fresh SPE compiler per call.
+func straightLine(tb testing.TB, n int) func() {
+	tb.Helper()
+	p := classfile.NewProgram()
+	c := p.NewClass("Straight", nil)
+	m := c.NewMethod("run", classfile.FlagStatic, classfile.Int)
+	a := m.Asm()
+	a.ConstI(1)
+	for i := 0; i < n/2; i++ {
+		a.StoreI(0)
+		a.LoadI(0)
+	}
+	a.Ret()
+	a.MustBuild()
+	if err := p.Resolve(); err != nil {
+		tb.Fatal(err)
+	}
+	main := mem.NewMain(1 << 20)
+	return func() {
+		region, err := mem.NewLayout(main.Size(), 4096).Carve("spe-code", 1<<19)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := NewCompiler(isa.SPE, main, region).Compile(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestCompileAllocsLinear gates Compile's allocations: Compile lowers
+// no block, so a straight-line method 8x longer may cost only a few
+// more allocations (slice growth), not one block per suffix.
+func TestCompileAllocsLinear(t *testing.T) {
+	short := testing.AllocsPerRun(5, straightLine(t, 64))
+	long := testing.AllocsPerRun(5, straightLine(t, 512))
+	if long > short+8 {
+		t.Fatalf("Compile allocs/op: %v at 512 instructions vs %v at 64", long, short)
 	}
 }

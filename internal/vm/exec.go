@@ -16,9 +16,6 @@ import (
 // (local-store kinds) or its hardware-cache model.
 func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 	deadline := core.Now + quantum
-	// The core's data cache is fixed for the whole quantum; fetch it once
-	// for the fast path's residency query (hot: once per superblock).
-	dcache := vm.dcaches[core.Index]
 	for t.State == StateRunning && core.Now < deadline {
 		f := t.top()
 		if f.Marker {
@@ -52,16 +49,14 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 			j.parked = append(j.parked, t)
 			return
 		}
-		// Superblock fast path: when a memoized pure block starts here,
-		// fits strictly inside the quantum (every prefix the reference
-		// interpreter would check also fits, so deadline semantics are
-		// unchanged) and is valid for the core's cache-residency class,
-		// apply it in one step. Any divergence falls through to step,
-		// which IS the reference semantics.
-		if sb := f.CM.SB; !vm.sbOff && sb != nil {
-			if b := &sb[f.PC]; b.Len != 0 && core.Now+b.Cycles < deadline &&
-				b.ResMask&(1<<residencyOf(dcache)) != 0 {
-				vm.fastForward(core, t, f, b, dcache, deadline)
+		// Superblock fast path: when a block starts here (built on first
+		// entry) and fits strictly inside the quantum (every prefix the
+		// reference interpreter would check also fits, so deadline
+		// semantics are unchanged), apply it in one step. Any divergence
+		// falls through to step, which IS the reference semantics.
+		if !vm.sbOff && f.CM.SB != nil {
+			if b := f.CM.Block(f.PC); b.Len != 0 && core.Now+b.Cycles < deadline {
+				vm.fastForward(core, t, f, b, deadline)
 				continue
 			}
 		}

@@ -4,37 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"herajvm/internal/cache"
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
 	"herajvm/internal/jit"
 )
 
 // This file is the superblock fast path: execute consults the compiled
-// method's memoized superblocks (jit.Superblock) and, when the whole
-// block provably fits inside the quantum and is valid for the core's
-// current cache-residency class, applies its cost vector in one step
-// and replays its stack effects with a closure-free mini-interpreter.
-// The replay must be byte-identical to per-instruction stepping — the
-// Figure-4 golden and the differential tests pin that contract — so
-// every case here mirrors the corresponding case of step exactly.
-
-// residencyOf returns a data cache's residency class: the software
-// cache's O(1) occupancy class on local-store cores, ResidencyCold on
-// hardware-cached cores (nil cache — their hierarchy is not
-// superblock-keyed). The executor hoists the cache fetch out of its
-// quantum loop and calls this per block.
-func residencyOf(dc *cache.DataCache) uint8 {
-	if dc != nil {
-		return dc.ResidencyClass()
-	}
-	return cache.ResidencyCold
-}
-
-// residencyClass is residencyOf for callers holding only the core.
-func (vm *VM) residencyClass(core *cell.Core) uint8 {
-	return residencyOf(vm.dcaches[core.Index])
-}
+// method's superblocks (jit.Superblock, built on first entry) and, when
+// the whole block provably fits inside the quantum, applies its cost
+// vector in one step and replays its stack effects with a closure-free
+// mini-interpreter. The replay must be byte-identical to
+// per-instruction stepping — the Figure-4 golden and the differential
+// tests pin that contract — so every case here mirrors the
+// corresponding case of step exactly.
 
 // fastForward applies one memoized superblock — core clock, per-class
 // cycle counters, retired instructions and the per-method monitor
@@ -50,10 +32,10 @@ func (vm *VM) residencyClass(core *cell.Core) uint8 {
 // state exactly as the reference path would — the fusion sheds only
 // host-level dispatch overhead, never a simulated event.
 func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock,
-	dcache *cache.DataCache, deadline uint64) {
+	deadline uint64) {
 
-	sb := f.CM.SB
-	code := f.CM.Code
+	cm := f.CM
+	code := cm.Code
 	for {
 		// Cycles/ClassCycles/FirstLen cover the block's first pure
 		// segment (the whole block when it absorbs no memory
@@ -127,12 +109,9 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 				break chain
 			}
 		}
-		// Chain into the next block only under the executor's own guards
-		// — notably residency, which the memory traffic above may have
-		// changed.
-		nb := &sb[f.PC]
-		if nb.Len == 0 || core.Now+nb.Cycles >= deadline ||
-			nb.ResMask&(1<<residencyOf(dcache)) == 0 {
+		// Chain into the next block only under the executor's own guards.
+		nb := cm.Block(f.PC)
+		if nb.Len == 0 || core.Now+nb.Cycles >= deadline {
 			return
 		}
 		b = nb
@@ -886,7 +865,7 @@ func (s *pureStack) pushD(v float64) { s.push(math.Float64bits(v), false) }
 
 // runPure replays the n instructions of the superblock at f.PC. Every
 // case mirrors step exactly; ops outside the discovery purity set are
-// unreachable by construction (discoverSuperblocks admits nothing
+// unreachable by construction (block construction admits nothing
 // else), so hitting the default case is an internal invariant failure.
 // Integer divides appear only behind a nonzero constant divisor the
 // same block pushed, so only the MinInt/-1 special cases need

@@ -4,9 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"herajvm/internal/cache"
 	"herajvm/internal/classfile"
-	"herajvm/internal/jit"
+	"herajvm/internal/isa"
 )
 
 // hotLoopProg builds a tight arithmetic loop whose body is one long pure
@@ -93,15 +92,61 @@ func TestFastPathMatchesDisabled(t *testing.T) {
 	}
 }
 
-// TestResidencyMaskCoversAllClasses pins the cross-package constant
-// agreement: jit.ResMaskAll must have exactly one bit per residency
-// class the cache layer defines, or the fast-path validity check
-// silently rejects (or falsely accepts) classes.
-func TestResidencyMaskCoversAllClasses(t *testing.T) {
-	want := uint8(1<<uint(cache.NumResidencyClasses)) - 1
-	if jit.ResMaskAll != want {
-		t.Fatalf("jit.ResMaskAll=%#x want %#x (cache.NumResidencyClasses=%d)",
-			jit.ResMaskAll, want, cache.NumResidencyClasses)
+// TestBlocksBuiltOnFirstEntry runs a method whose branch always skips
+// a pure run and checks the run's blocks were never built: a block is
+// built when execution first enters it, not when its method compiles.
+func TestBlocksBuiltOnFirstEntry(t *testing.T) {
+	p := newProg()
+	c := p.NewClass("Lazy", nil)
+	m := c.NewMethod("main", classfile.FlagStatic, classfile.Int)
+	a := m.Asm()
+	live := a.NewLabel()
+	a.ConstI(1)
+	a.ConstI(0)
+	a.IfICmpGE(live) // always taken
+	for i := 0; i < 4; i++ {
+		a.ConstI(3)
+		a.StoreI(0)
+		a.LoadI(0)
+		a.ConstI(5)
+		a.MulI()
+		a.StoreI(0)
+	}
+	a.Bind(live)
+	a.ConstI(7)
+	a.Ret()
+	a.MustBuild()
+	vmach, err := New(testConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vmach.RunMain("Lazy", "main"); err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for _, comp := range vmach.compilers {
+		cm := comp.Lookup(m)
+		if cm == nil {
+			continue
+		}
+		ran++
+		br := 0
+		for cm.Code[br].Op != isa.OpIfCmpI {
+			br++
+		}
+		target := int(cm.Code[br].B)
+		if cm.SB[0] == nil || cm.SB[target] == nil {
+			t.Errorf("%v: entered blocks unbuilt: SB[0]=%v SB[%d]=%v",
+				cm.Target, cm.SB[0], target, cm.SB[target])
+		}
+		for q := br + 1; q < target; q++ {
+			if cm.SB[q] != nil {
+				t.Errorf("%v: skipped index %d has a block: %+v", cm.Target, q, cm.SB[q])
+			}
+		}
+	}
+	if ran == 0 {
+		t.Fatal("Lazy.main was never compiled")
 	}
 }
 

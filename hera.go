@@ -171,7 +171,7 @@ type (
 	// MachineConfig tunes the simulated Cell processor.
 	MachineConfig = cell.Config
 	// System is a booted Hera-JVM instance — a long-lived session that
-	// accepts job submissions (Submit/Drain) beside the one-shot Run.
+	// accepts job submissions (Submit, then Job.Wait or Drain).
 	System = core.System
 	// JobRequest describes one submission to a booted System: an entry
 	// method, optional int args, an arrival cycle, an optional

@@ -22,7 +22,11 @@ func TestQuickstartAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	job, _, err := sys.Submit(hera.JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,11 @@ func TestAnnotatedMigrationThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	job, _, err := sys.Submit(hera.JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,11 @@ func TestFixedPolicyThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	job, _, err := sys.Submit(hera.JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

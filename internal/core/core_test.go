@@ -40,7 +40,11 @@ func TestSystemRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	job, _, err := sys.Submit(JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,11 @@ func TestSystemReportSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Main", "main"); err != nil {
+	job, _, err := sys.Submit(JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	rep := sys.Report()
@@ -98,10 +106,10 @@ func TestRunUnknownEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Nope", "main"); err == nil {
+	if _, _, err := sys.Submit(JobRequest{Class: "Nope", Method: "main"}); err == nil {
 		t.Error("expected error for unknown class")
 	}
-	if _, err := sys.Run("Main", "nope"); err == nil {
+	if _, _, err := sys.Submit(JobRequest{Class: "Main", Method: "nope"}); err == nil {
 		t.Error("expected error for unknown method")
 	}
 }

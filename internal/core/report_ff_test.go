@@ -17,7 +17,11 @@ func TestReportFastForwardClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Main", "main"); err != nil {
+	job, _, err := sys.Submit(JobRequest{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	c0 := sys.VM.Machine.Cores()[0]
@@ -73,7 +77,11 @@ func TestReportIdenticalDisableSuperblocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(spec.MainClass, "main"); err != nil {
+		job, _, err := sys.Submit(JobRequest{Class: spec.MainClass, Method: "main"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Report()

@@ -2,7 +2,7 @@ package jit
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"herajvm/internal/isa"
 )
@@ -19,18 +19,20 @@ import (
 // `LoadLocal a; LoadLocal b; MulI; StoreLocal c` sequence becomes the
 // single micro-op `local c <- local a * local b`.
 //
-// The replay contract is the same byte-identical one runPure honours:
+// The replay contract is byte-identical to per-instruction stepping:
 // after a block replays, frame state (locals, operand stack and both
-// reference maps up to the final SP) must equal what per-instruction
-// stepping produces. Patterns the lowering cannot prove equivalent —
-// consuming operands the block did not push, Swap/DupX reordering of
-// symbolic values, more than a handful of deferred flag writes — make
-// compileMicro report ok=false and the executor falls back to the
-// stack-walking replay; correctness never depends on lowering success.
+// reference maps up to the final SP) must equal what step produces.
+// Lowering is total — every block the run scan admits lowers. A block
+// entered mid-expression (after a call returns, after a `new`, after a
+// quantum expiry) pops operands pushed before it; those are its Entry
+// slots, the lowest slots above the replay base (entry SP minus
+// Entry), addressed like any other slot. The stack shuffles that would
+// move a value below its slot (swap, dup_x1, dup_x2) are not in the
+// run scan's pure set, so step runs them.
 
 // MicroOp is one slot-addressed operation. D, A and B address frame
 // storage: a non-negative value is an operand-stack slot relative to
-// the block's entry SP, a negative value -(i+1) is local variable i,
+// the block's replay base (entry SP minus Superblock.Entry), a negative value -(i+1) is local variable i,
 // and the sentinel MicroImm (operands only) selects the Imm field.
 // At most one of A/B is MicroImm, so one Imm field serves both; the
 // compare ops repurpose Imm for their NaN result and never take
@@ -47,24 +49,23 @@ type MicroOp struct {
 const MicroImm int32 = math.MinInt32
 
 // FlagWrite is one deferred reference-map update applied after a
-// block's value micro-ops. Src 0 writes false, 1 writes true, and
-// j+2 copies the block-entry value of LocalRefs[j] (all sources are
-// resolved before any write lands, so entry values are well-defined
-// even when a write targets a source local).
+// block's value micro-ops. Src 0 writes false, 1 writes true, j+2
+// copies the block-entry value of LocalRefs[j], and -(i+1) copies the
+// block-entry StackRefs of entry slot i. All sources are resolved
+// against entry state: local flag writes land only after every source
+// is read, and the replay snapshots the entry slots' flags before any
+// write (a memory load writes its result's flag at once, and a
+// `dup; storelocal` copy of an entry value can outlive its slot).
 type FlagWrite struct {
-	// Idx is a local index (local-flag list) or an entry-SP-relative
-	// stack slot (stack-flag list).
+	// Idx is a local index (local-flag list) or a base-relative stack
+	// slot (stack-flag list).
 	Idx int32
 	Src int32
 }
 
-// maxFlagWrites bounds each deferred flag list so the replayer can
-// resolve sources into a fixed-size buffer without allocating.
-const maxFlagWrites = 8
-
 // Micro-op codes. The arithmetic codes mirror the isa ops of the same
 // name exactly — each replay case must be semantically identical to the
-// corresponding step/runPure case, including shift masking, divide
+// corresponding step case, including shift masking, divide
 // MinInt/-1 behaviour and float NaN handling.
 const (
 	MMov uint8 = iota // D <- A (raw 64-bit copy)
@@ -179,6 +180,38 @@ func unaryOp(op isa.Op) bool {
 	return false
 }
 
+// stackEffect is how many operand-stack slots each op a superblock can
+// hold pops and then pushes: the pure set, the absorbable memory
+// instructions, and the terminal branches, which pop their comparison
+// operands.
+func stackEffect(op isa.Op) (pops, pushes int32) {
+	switch op {
+	case isa.OpPushConst, isa.OpLoadLocal, isa.OpGetStatic:
+		return 0, 1
+	case isa.OpStoreLocal, isa.OpPop, isa.OpPutStatic, isa.OpIf, isa.OpIfNull:
+		return 1, 0
+	case isa.OpPop2, isa.OpPutField, isa.OpIfCmpI, isa.OpIfCmpRef:
+		return 2, 0
+	case isa.OpAStore:
+		return 3, 0
+	case isa.OpDup:
+		return 1, 2
+	case isa.OpDup2:
+		return 2, 4
+	case isa.OpALoad:
+		return 2, 1
+	case isa.OpArrayLen, isa.OpGetField:
+		return 1, 1
+	}
+	if unaryOp(op) {
+		return 1, 1
+	}
+	if _, ok := microForOp[op]; ok {
+		return 2, 1
+	}
+	return 0, 0 // nop, goto, inclocal
+}
+
 // Symbolic value kinds tracked on the compile-time stack.
 const (
 	symImm   uint8 = iota // a constant; value in sym.imm
@@ -194,11 +227,11 @@ type sym struct {
 }
 
 // microCompiler lowers one block. The central invariant is that a
-// symSlot's slot index never exceeds its current stack position (new
-// values materialise at their own position, Dup copies upward, and the
-// reorderings that would move a value below its slot — Swap, DupX —
-// bail out), so a result written at position d can never clobber a
-// slot a live lower value still references.
+// symSlot's slot index never exceeds its current stack position (entry
+// slots start at their own positions, new values materialise at their
+// own position, and Dup copies upward), so a result written at
+// position d can never clobber a slot a live lower value still
+// references.
 //
 // A second invariant backs the shadow materialisations: a live symSlot
 // at position p with backing slot q < p only arises from Dup-copying
@@ -206,11 +239,17 @@ type sym struct {
 // stack discipline pops the copy first — so slot q still holds the
 // value whenever the shadow mat replays.
 type microCompiler struct {
-	micro     []MicroOp
-	vstack    []sym
-	localFlag map[int32]int32 // locals written by the block -> flag source
+	micro  []MicroOp
+	vstack []sym
+	// localFlag holds, for each local the block writes, the flag
+	// source of its last store, sorted by local index: it is the
+	// block's deferred local-flag list as it stands.
+	localFlag []FlagWrite
 	maxDepth  int32
-	ok        bool
+	// low is the lowest stack depth reached so far. Positions below it
+	// still hold their entry value and flag, so no materialisation or
+	// flag write ever needs to touch them.
+	low int
 
 	// Memory-absorption state: the per-boundary metadata, the pure
 	// segment after each boundary, shadow materialisations and flag
@@ -231,29 +270,6 @@ type microCompiler struct {
 	noSink   int
 }
 
-// microBlock is compileMicro's result: the lowered replay program plus
-// the segment cost structure discovery copies onto the Superblock.
-type microBlock struct {
-	Micro    []MicroOp
-	LFlags   []FlagWrite
-	SFlags   []FlagWrite
-	MaxDepth int32
-
-	Bounds  []MemBound
-	Segs    []Seg
-	Mats    []MicroOp
-	BLFlags []FlagWrite
-	BSFlags []FlagWrite
-
-	// The first pure segment's instruction count and static cost
-	// vector (the whole block when Bounds is empty).
-	FirstLen    int32
-	FirstCycles uint64
-	FirstClass  [isa.NumClasses]uint64
-}
-
-func (c *microCompiler) fail() { c.ok = false }
-
 func (c *microCompiler) push(v sym) {
 	c.vstack = append(c.vstack, v)
 	if d := int32(len(c.vstack)); d > c.maxDepth {
@@ -261,26 +277,36 @@ func (c *microCompiler) push(v sym) {
 	}
 }
 
-// pop fails the compile when the block would consume operands it did
-// not push (suffix blocks entered mid-expression do this; they keep
-// the stack-walking replay).
 func (c *microCompiler) pop() sym {
-	if len(c.vstack) == 0 {
-		c.fail()
-		return sym{kind: symImm}
-	}
-	v := c.vstack[len(c.vstack)-1]
-	c.vstack = c.vstack[:len(c.vstack)-1]
+	n := len(c.vstack) - 1
+	v := c.vstack[n]
+	c.vstack = c.vstack[:n]
+	c.low = min(c.low, n)
 	return v
 }
 
 // flagOfLocal is the compile-time reference flag of local i: the
 // block's own last store to it, or its block-entry value.
 func (c *microCompiler) flagOfLocal(i int32) int32 {
-	if f, ok := c.localFlag[i]; ok {
-		return f
+	if k, ok := c.findLocal(i); ok {
+		return c.localFlag[k].Src
 	}
 	return i + 2
+}
+
+// setLocalFlag records src as local i's flag source after a store.
+func (c *microCompiler) setLocalFlag(i, src int32) {
+	k, ok := c.findLocal(i)
+	if !ok {
+		c.localFlag = slices.Insert(c.localFlag, k, FlagWrite{Idx: i})
+	}
+	c.localFlag[k].Src = src
+}
+
+func (c *microCompiler) findLocal(i int32) (int, bool) {
+	return slices.BinarySearchFunc(c.localFlag, i, func(w FlagWrite, i int32) int {
+		return int(w.Idx - i)
+	})
 }
 
 // matLocal materialises every live symbolic reference to local i into
@@ -310,20 +336,37 @@ func operand(v sym) (o int32, imm uint64) {
 	}
 }
 
+// matOp is the micro-op that copies symbolic value v into stack slot
+// at (a no-op MMov when v already lives there).
+func matOp(v sym, at int32) MicroOp {
+	switch v.kind {
+	case symImm:
+		return MicroOp{Code: MMovImm, D: at, Imm: v.imm}
+	case symLocal:
+		return MicroOp{Code: MMov, D: at, A: -(v.idx + 1)}
+	default:
+		return MicroOp{Code: MMov, D: at, A: v.idx}
+	}
+}
+
 // materialise forces a symbolic value into stack slot `at` and returns
 // the updated symbol.
 func (c *microCompiler) materialise(v sym, at int32) sym {
-	switch v.kind {
-	case symImm:
-		c.micro = append(c.micro, MicroOp{Code: MMovImm, D: at, Imm: v.imm})
-	case symLocal:
-		c.micro = append(c.micro, MicroOp{Code: MMov, D: at, A: -(v.idx + 1)})
-	default:
-		if v.idx != at {
-			c.micro = append(c.micro, MicroOp{Code: MMov, D: at, A: v.idx})
-		}
+	if v.kind != symSlot || v.idx != at {
+		c.micro = append(c.micro, matOp(v, at))
 	}
 	return sym{kind: symSlot, idx: at, flag: v.flag}
+}
+
+// appendFlags appends to lf and sf the deferred reference-flag writes
+// that make the maps match stepping at this point: every local the
+// block has written, in index order, and the stack positions that may
+// have changed since entry.
+func (c *microCompiler) appendFlags(lf, sf []FlagWrite) ([]FlagWrite, []FlagWrite) {
+	for p := c.low; p < len(c.vstack); p++ {
+		sf = append(sf, FlagWrite{Idx: int32(p), Src: c.vstack[p].flag})
+	}
+	return append(lf, c.localFlag...), sf
 }
 
 // foldInt32 evaluates two-operand int ops over constants, mirroring
@@ -375,16 +418,9 @@ func foldInt64(op isa.Op, a, b int64) (int64, bool) {
 // pass their nan result through Imm, so immediate operands are
 // materialised for them.
 func (c *microCompiler) binary(in isa.Instr) {
-	code, okOp := microForOp[in.Op]
-	if !okOp {
-		c.fail()
-		return
-	}
+	code := microForOp[in.Op]
 	b := c.pop()
 	a := c.pop()
-	if !c.ok {
-		return
-	}
 	if a.kind == symImm && b.kind == symImm {
 		if v, did := foldInt32(in.Op, int32(uint32(a.imm)), int32(uint32(b.imm))); did {
 			c.push(sym{kind: symImm, imm: uint64(uint32(v))})
@@ -414,15 +450,8 @@ func (c *microCompiler) binary(in isa.Instr) {
 }
 
 func (c *microCompiler) unary(in isa.Instr) {
-	code, okOp := microForOp[in.Op]
-	if !okOp {
-		c.fail()
-		return
-	}
+	code := microForOp[in.Op]
 	a := c.pop()
-	if !c.ok {
-		return
-	}
 	if a.kind == symImm {
 		switch in.Op {
 		case isa.OpNegI:
@@ -460,9 +489,6 @@ func (c *microCompiler) unary(in isa.Instr) {
 // references its slot.
 func (c *microCompiler) storeLocal(i int32) {
 	v := c.pop()
-	if !c.ok {
-		return
-	}
 	mark := len(c.micro)
 	c.matLocal(i)
 	switch v.kind {
@@ -488,13 +514,13 @@ func (c *microCompiler) storeLocal(i int32) {
 			c.micro = append(c.micro, MicroOp{Code: MMov, D: -(i + 1), A: v.idx})
 		}
 	}
-	c.localFlag[i] = v.flag
+	c.setLocalFlag(i, v.flag)
 }
 
-// closeSeg ends the current pure segment at a memory boundary: the
-// first segment's accumulator becomes the block's up-front charge,
-// later ones append to Segs (charged right after the boundary that
-// precedes them).
+// closeSeg ends the current pure segment at a memory boundary or the
+// block's end: the first segment's accumulator becomes the block's
+// up-front charge, later ones append to Segs (charged right after the
+// boundary that precedes them).
 func (c *microCompiler) closeSeg() {
 	if len(c.bounds) == 0 {
 		c.firstLen, c.firstCyc, c.firstCls = c.segLen, c.segCyc, c.segCls
@@ -511,29 +537,25 @@ func (c *microCompiler) closeSeg() {
 // symbolic operands (the happy path never round-trips them through
 // their stack slots).
 func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
-	var npops, npush int
+	npops, npush := stackEffect(in.Op)
 	var mcode uint8
 	switch in.Op {
 	case isa.OpALoad:
-		npops, npush, mcode = 2, 1, MALoad
+		mcode = MALoad
 	case isa.OpAStore:
-		npops, npush, mcode = 3, 0, MAStore
+		mcode = MAStore
 	case isa.OpArrayLen:
-		npops, npush, mcode = 1, 1, MArrayLen
+		mcode = MArrayLen
 	case isa.OpGetField:
-		npops, npush, mcode = 1, 1, MGetField
+		mcode = MGetField
 	case isa.OpPutField:
-		npops, npush, mcode = 2, 0, MPutField
+		mcode = MPutField
 	case isa.OpGetStatic:
-		npops, npush, mcode = 0, 1, MGetStatic
+		mcode = MGetStatic
 	case isa.OpPutStatic:
-		npops, npush, mcode = 1, 0, MPutStatic
+		mcode = MPutStatic
 	}
-	if len(c.vstack) < npops {
-		c.fail() // operands from before the block entry: suffix bails
-		return
-	}
-	opStart := len(c.vstack) - npops
+	opStart := len(c.vstack) - int(npops)
 	// One shared Imm field per micro-op: materialise all but one
 	// immediate operand.
 	imms := 0
@@ -556,45 +578,20 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		if i == opStart {
 			matOpLo = int32(len(c.mats))
 		}
-		if v.kind == symSlot && v.idx == int32(i) {
-			continue
-		}
-		switch v.kind {
-		case symImm:
-			c.mats = append(c.mats, MicroOp{Code: MMovImm, D: int32(i), Imm: v.imm})
-		case symLocal:
-			c.mats = append(c.mats, MicroOp{Code: MMov, D: int32(i), A: -(v.idx + 1)})
-		default:
-			c.mats = append(c.mats, MicroOp{Code: MMov, D: int32(i), A: v.idx})
+		if v.kind != symSlot || v.idx != int32(i) {
+			c.mats = append(c.mats, matOp(v, int32(i)))
 		}
 	}
 	if opStart == len(c.vstack) {
 		matOpLo = int32(len(c.mats))
 	}
 	matHi := int32(len(c.mats))
-	// Flag snapshots: stack positions below the instruction's SP and
-	// the locals written so far. Sources resolve against entry-state
-	// LocalRefs at apply time, which still holds at any boundary —
-	// local flag writes are deferred to the block's final epilogue.
-	sfLo := int32(len(c.bsf))
-	for i, v := range c.vstack {
-		c.bsf = append(c.bsf, FlagWrite{Idx: int32(i), Src: v.flag})
-	}
-	sfHi := int32(len(c.bsf))
-	lfLo := int32(len(c.blf))
-	locals := make([]int32, 0, len(c.localFlag))
-	for i := range c.localFlag {
-		locals = append(locals, i)
-	}
-	sort.Slice(locals, func(a, b int) bool { return locals[a] < locals[b] })
-	for _, i := range locals {
-		c.blf = append(c.blf, FlagWrite{Idx: i, Src: c.localFlag[i]})
-	}
-	lfHi := int32(len(c.blf))
-	if sfHi-sfLo > maxFlagWrites || lfHi-lfLo > maxFlagWrites {
-		c.fail()
-		return
-	}
+	// Flag snapshots: the stack below the instruction's SP and the
+	// locals written so far. Sources resolve against entry state at
+	// apply time, which still holds at any boundary — local flag writes
+	// are deferred to the block's final epilogue.
+	lfLo, sfLo := int32(len(c.blf)), int32(len(c.bsf))
+	c.blf, c.bsf = c.appendFlags(c.blf, c.bsf)
 
 	var ops [3]sym
 	for i := npops - 1; i >= 0; i-- {
@@ -642,26 +639,29 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	c.bounds = append(c.bounds, MemBound{
 		RelIdx: rel, Cost: uint32(in.Cost), Class: in.Op.Class(),
 		Kind: in.A, Flags: in.B,
-		SPAtOp: int32(opStart + npops), SPTrap: int32(opStart), SPAfter: int32(opStart + npush),
+		SPAtOp: int32(opStart) + npops, SPTrap: int32(opStart), SPAfter: int32(opStart) + npush,
 		MatLo: matLo, MatOpLo: matOpLo, MatHi: matHi,
-		LfLo: lfLo, LfHi: lfHi, SfLo: sfLo, SfHi: sfHi,
+		LfLo: lfLo, LfHi: int32(len(c.blf)), SfLo: sfLo, SfHi: int32(len(c.bsf)),
 	})
 }
 
-// compileMicro lowers a block's instructions. term is the block's
-// control terminal when it has one (goto or conditional branch): it
-// contributes cost and an instruction to the final segment but emits
-// no micro-op — the executor applies its effect from Target. It
-// returns ok=false when the block contains a pattern the lowering does
-// not model; a memory-free block then replays with runPure.
-func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
-	c := microCompiler{localFlag: make(map[int32]int32), ok: true}
+// compileMicro lowers the instructions of the block code into a
+// Superblock's replay program and segment costs; the caller sets the
+// block's length and exit. entry is how many operands pushed before the
+// block it pops. term is the block's control terminal when it has one
+// (goto or conditional branch): it contributes cost, an instruction and
+// its operand pops to the final segment but emits no micro-op — the
+// executor applies its effect from Target. Lowering cannot fail: the
+// run scan admits only ops modelled here.
+func compileMicro(code []isa.Instr, term *isa.Instr, entry int32) *Superblock {
+	c := microCompiler{maxDepth: entry, low: int(entry)}
+	for i := int32(0); i < entry; i++ {
+		c.vstack = append(c.vstack, sym{kind: symSlot, idx: i, flag: -(i + 1)})
+	}
+
 	for idx, in := range code {
 		if memOp(in.Op) {
 			c.memBoundary(int32(idx), in)
-			if !c.ok {
-				return microBlock{}, false
-			}
 			continue
 		}
 		c.segLen++
@@ -696,81 +696,55 @@ func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 			c.pop()
 			c.pop()
 		case isa.OpDup:
-			if len(c.vstack) == 0 {
-				c.fail()
-				break
-			}
 			c.push(c.vstack[len(c.vstack)-1])
 		case isa.OpDup2:
-			if len(c.vstack) < 2 {
-				c.fail()
-				break
-			}
 			b := c.vstack[len(c.vstack)-1]
 			a := c.vstack[len(c.vstack)-2]
 			c.push(a)
 			c.push(b)
-		case isa.OpSwap, isa.OpDupX1, isa.OpDupX2:
-			// These move a value below its materialised slot, breaking
-			// the slot<=position invariant; they are rare in compiled
-			// code, so bail rather than model a parallel copy.
-			c.fail()
-
 		default:
 			if unaryOp(in.Op) {
 				c.unary(in)
 			} else if _, isBin := microForOp[in.Op]; isBin {
 				c.binary(in)
 			} else {
-				c.fail() // not a pure op: discovery should never admit it
+				panic("jit: impure opcode " + in.Op.String() + " inside a superblock")
 			}
-		}
-		if !c.ok {
-			return microBlock{}, false
 		}
 	}
 
 	// The control terminal belongs to the final segment: its static
 	// cost and instruction count charge with the block's tail even
 	// though its effect is applied from Target.
+	var termPops int32
 	if term != nil {
 		c.segLen++
 		c.segCyc += uint64(term.Cost)
 		c.segCls[term.Op.Class()] += uint64(term.Cost)
+		termPops, _ = stackEffect(term.Op)
 	}
-	if len(c.bounds) == 0 {
-		c.firstLen, c.firstCyc, c.firstCls = c.segLen, c.segCyc, c.segCls
-	} else {
-		c.segs = append(c.segs, Seg{Cycles: c.segCyc, ClassCycles: c.segCls, Len: c.segLen})
-	}
+	c.closeSeg()
 
 	// Epilogue: materialise surviving symbolic stack values into their
 	// positions (processing upward — a non-identity copy only ever reads
 	// a slot whose position holds it identically, per the compiler
 	// invariant) and collect the deferred reference-flag writes.
-	var lflags, sflags []FlagWrite
-	for p := range c.vstack {
-		v := c.vstack[p]
-		if v.kind != symSlot || v.idx != int32(p) {
-			c.vstack[p] = c.materialise(v, int32(p))
-		}
-		sflags = append(sflags, FlagWrite{Idx: int32(p), Src: v.flag})
+	for p := c.low; p < len(c.vstack); p++ {
+		c.vstack[p] = c.materialise(c.vstack[p], int32(p))
 	}
-	locals := make([]int32, 0, len(c.localFlag))
-	for i := range c.localFlag {
-		locals = append(locals, i)
-	}
-	sort.Slice(locals, func(a, b int) bool { return locals[a] < locals[b] })
-	for _, i := range locals {
-		lflags = append(lflags, FlagWrite{Idx: i, Src: c.localFlag[i]})
-	}
-	if len(lflags) > maxFlagWrites || len(sflags) > maxFlagWrites {
-		return microBlock{}, false
-	}
-	return microBlock{
-		Micro: c.micro, LFlags: lflags, SFlags: sflags, MaxDepth: c.maxDepth,
+	// A conditional terminal reads its operands from their slots, but
+	// they lie above the final SP, where no reference flag is observed.
+	c.vstack = c.vstack[:len(c.vstack)-int(termPops)]
+	b := &Superblock{
+		Cycles: c.firstCyc, ClassCycles: c.firstCls, FirstLen: c.firstLen,
+		Entry: entry, StackDelta: int32(len(c.vstack)),
+		Micro: c.micro, MaxDepth: c.maxDepth,
 		Bounds: c.bounds, Segs: c.segs, Mats: c.mats,
 		BLFlags: c.blf, BSFlags: c.bsf,
-		FirstLen: c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,
-	}, true
+	}
+	b.LFlags, b.SFlags = c.appendFlags(nil, nil)
+	// Local-flag lists only grow along the block, so the final one is
+	// the longest a boundary or the epilogue resolves.
+	b.FlagBuf = entry + int32(len(b.LFlags))
+	return b
 }

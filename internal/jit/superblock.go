@@ -4,23 +4,22 @@ import (
 	"herajvm/internal/isa"
 )
 
-// Superblock memoizes the static execution effects of a maximal pure
-// straight-line run of compiled code beginning at one instruction
-// index. The VM's executor uses it to fast-forward a whole run in one
-// step — one clock advance, one per-class cycle update, one retired-
+// Superblock memoizes the static execution effects of a straight-line
+// run of compiled code beginning at one instruction index. The VM's
+// executor uses it to fast-forward a whole run in one step — one clock advance, one per-class cycle update, one retired-
 // instruction bump — instead of dispatching instruction by instruction,
 // with semantics byte-identical to per-instruction stepping.
 //
 // A block ends at (exclusive) the first instruction that can call,
-// return, touch the heap or caches, allocate, synchronise, throw, or
-// trap; a control transfer may terminate a block inclusively — an
-// unconditional goto (static target, fixed cost) or one conditional
-// branch, whose outcome the executor evaluates from the block's own
-// final stack and whose branch-model bookkeeping (predictor update,
-// penalty) it mirrors exactly. Division by a preceding nonzero constant
-// is admitted (it cannot trap), but such an instruction can never
-// *start* a block: a branch could land on it with a computed divisor on
-// the stack, losing the guarantee.
+// return, allocate, synchronise, throw, or trap outside the memory
+// instructions it absorbs; a control transfer may terminate a block
+// inclusively — an unconditional goto (static target, fixed cost) or
+// one conditional branch, whose outcome the executor evaluates from
+// the block's own final stack and whose branch-model bookkeeping
+// (predictor update, penalty) it mirrors exactly. Division by a
+// preceding nonzero constant is admitted (it cannot trap), but such an
+// instruction can never *start* a block: a branch could land on it
+// with a computed divisor on the stack, losing the guarantee.
 type Superblock struct {
 	// Len is the number of instructions the block covers. 0 means no
 	// block starts at this index (the instruction is impure, or is a
@@ -42,30 +41,34 @@ type Superblock struct {
 	// ClassCycles buckets the same total by operation class.
 	Cycles      uint64
 	ClassCycles [isa.NumClasses]uint64
-	// StackDelta is the block's net operand-stack growth in slots.
+	// Entry is how many operands pushed before the block it consumes
+	// (a block entered mid-expression pops them). The replay addresses
+	// stack slots from its base, entry SP minus Entry, so those operands
+	// are ordinary slots 0..Entry-1.
+	Entry int32
+	// StackDelta is the operand-stack depth above the base after the
+	// block: the final SP is base + StackDelta.
 	StackDelta int32
 
 	// FirstLen is the instruction count of the block's first pure
-	// segment — the whole block when it absorbs no memory instructions.
-	// Cycles/ClassCycles likewise cover only that first segment; the
-	// executor charges it up front, and each absorbed memory instruction
-	// then charges itself (plus its dynamic cache cost) and the segment
-	// that follows it (Segs) as the replay crosses it.
+	// segment — the whole block when it absorbs no memory instructions,
+	// 0 when it starts with one. Cycles/ClassCycles likewise cover only
+	// that first segment; the executor charges it up front, and each
+	// absorbed memory instruction then charges itself (plus its dynamic
+	// cache cost) and the segment that follows it (Segs) as the replay
+	// crosses it.
 	FirstLen int32
 
-	// MicroOK reports that the block lowered to slot-addressed
-	// micro-ops (Micro/LFlags/SFlags/MaxDepth); the executor replays
-	// those instead of walking the stack ops. When false the executor
-	// uses the stack-walking replay — same semantics, slower host path.
-	// A block that absorbs memory instructions always has MicroOK set
-	// (the stack-walking replay handles only pure code); when the
-	// extended lowering bails, buildBlock falls back to the memory-free
-	// prefix as the block.
-	MicroOK  bool
+	// Micro is the block's slot-addressed replay program; LFlags/SFlags
+	// are the deferred local and stack reference-flag writes that follow
+	// it, and MaxDepth the deepest base-relative stack slot it touches.
+	// FlagBuf is the scratch the replay resolves flags into: the entry
+	// slots' flag snapshot plus the longest local-flag list.
 	Micro    []MicroOp
 	LFlags   []FlagWrite
 	SFlags   []FlagWrite
 	MaxDepth int32
+	FlagBuf  int32
 
 	// Bounds/Segs/Mats/BLFlags/BSFlags describe the block's absorbed
 	// memory instructions: per-boundary metadata, the pure segment after
@@ -104,7 +107,7 @@ type MemBound struct {
 	// field slot, and the volatile/ref flag bits).
 	Kind  int32
 	Flags int32
-	// Stack depths relative to the block's entry SP: at the instruction
+	// Stack depths relative to the block's base: at the instruction
 	// (operands pushed), after a trap's pops, and after the instruction
 	// completes.
 	SPAtOp, SPTrap, SPAfter int32
@@ -135,12 +138,14 @@ const (
 // allocator or the branch predictor. Operand-stack and local-variable
 // traffic, non-trapping ALU work and conversions qualify; integer
 // divide/remainder do not (division by zero traps) unless guarded by a
-// constant divisor, which guardedDiv admits separately.
+// constant divisor, which guardedDiv admits separately. The shuffles
+// swap, dup_x1 and dup_x2 are left to step: lowering them would move a
+// value below its slot, and no compiler or workload in the repository
+// emits them.
 func pureOp(op isa.Op) bool {
 	switch op {
 	case isa.OpNop, isa.OpPushConst, isa.OpLoadLocal, isa.OpStoreLocal,
-		isa.OpPop, isa.OpPop2, isa.OpDup, isa.OpDupX1, isa.OpDupX2,
-		isa.OpDup2, isa.OpSwap, isa.OpIncLocal,
+		isa.OpPop, isa.OpPop2, isa.OpDup, isa.OpDup2, isa.OpIncLocal,
 		isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpNegI, isa.OpAndI,
 		isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI, isa.OpUShrI,
 		isa.OpAddL, isa.OpSubL, isa.OpMulL, isa.OpNegL, isa.OpAndL,
@@ -197,38 +202,6 @@ func memOp(op isa.Op) bool {
 		return true
 	}
 	return false
-}
-
-// stackDeltaOf is the net operand-stack effect in slots of each op a
-// superblock can contain: the pure set, the absorbable memory
-// instructions, and the terminal conditional branches, which pop their
-// comparison operands.
-func stackDeltaOf(op isa.Op) int32 {
-	switch op {
-	case isa.OpIf, isa.OpIfNull, isa.OpALoad, isa.OpPutStatic:
-		return -1
-	case isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpPutField:
-		return -2
-	case isa.OpAStore:
-		return -3
-	case isa.OpPushConst, isa.OpLoadLocal, isa.OpDup, isa.OpDupX1, isa.OpDupX2,
-		isa.OpGetStatic:
-		return 1
-	case isa.OpDup2:
-		return 2
-	case isa.OpStoreLocal, isa.OpPop,
-		isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpDivI, isa.OpRemI,
-		isa.OpAndI, isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI, isa.OpUShrI,
-		isa.OpAddL, isa.OpSubL, isa.OpMulL, isa.OpDivL, isa.OpRemL,
-		isa.OpAndL, isa.OpOrL, isa.OpXorL, isa.OpShlL, isa.OpShrL, isa.OpUShrL,
-		isa.OpCmpL,
-		isa.OpAddF, isa.OpSubF, isa.OpMulF, isa.OpDivF, isa.OpRemF, isa.OpCmpF,
-		isa.OpAddD, isa.OpSubD, isa.OpMulD, isa.OpDivD, isa.OpRemD, isa.OpCmpD:
-		return -1
-	case isa.OpPop2:
-		return -2
-	}
-	return 0
 }
 
 // noBlock is the shared Len-0 block Block memoises at indices where no
@@ -291,92 +264,57 @@ func scanRuns(code []isa.Instr) []int32 {
 }
 
 // buildBlock builds the superblock starting at index p of a run whose
-// replayable end is pe (see scanRuns). The block reaches the run's end,
-// so a thread whose quantum expired mid-run resumes with a (shorter)
-// block at its exact PC. When the extended micro lowering bails
-// (typically a memory instruction consuming operands the block did not
-// push), the block falls back to its memory-free prefix, which the
-// stack-walking replay can always handle. It returns noBlock when no
-// block starts at p.
+// replayable end is pe (see scanRuns). The block reaches the run's end
+// unless it was entered mid-expression (below), so a thread whose
+// quantum expired mid-run resumes with a (shorter) block at its exact
+// PC. It returns noBlock when no block starts at p.
 func buildBlock(code []isa.Instr, p, pe int) *Superblock {
-	if pe < 0 || guardedDivOp(code[p].Op) || memOp(code[p].Op) {
+	if pe < 0 || guardedDivOp(code[p].Op) {
 		// A branch may land on a guarded div with an unproven divisor on
-		// the stack, and a memory instruction's operands come from before
-		// the entry; blocks run through both, but neither starts one.
+		// the stack; blocks run through one but never start at it.
 		return noBlock
 	}
-	// The replayable (micro-compilable) range [p, pe) excludes the
-	// terminal: a goto has no data effect, and a conditional branch reads
-	// the operands the replay leaves just above the block's final SP.
-	// The terminal's cost and instruction count still belong to the
-	// block's final segment, so the compiler receives it separately.
+	// The replayable range [p, pe) excludes the terminal: a goto has no
+	// data effect, and a conditional branch reads the operands the
+	// replay leaves just above the block's final SP. The terminal's cost,
+	// instruction count and pops still belong to the block, so the
+	// compiler receives it separately.
 	var term *isa.Instr
 	if pe < len(code) {
 		if _, ok := terminalOf(code[pe].Op); ok {
 			term = &code[pe]
 		}
 	}
-	b := new(Superblock)
-	if mb, ok := compileMicro(code[p:pe], term); ok {
-		for q := p; q < pe; q++ {
-			b.Len++
-			b.StackDelta += stackDeltaOf(code[q].Op)
+	// Entry counts the operands pushed before the block that it pops,
+	// the terminal's comparison operands included. A block entered
+	// mid-expression ends once it has consumed its entry operands and
+	// holds nothing else: the fast path chains into the block starting
+	// there, which every entry into the run shares, instead of each
+	// mid-run entry lowering its own copy of the run's tail.
+	var depth, entry int32
+	for q := p; q < pe; q++ {
+		pops, pushes := stackEffect(code[q].Op)
+		entry = max(entry, pops-depth)
+		depth += pushes - pops
+		if entry > 0 && depth == -entry && q+1 < pe {
+			pe, term = q+1, nil
+			break
 		}
-		b.terminate(pe, pe, term)
-		b.Cycles, b.ClassCycles, b.FirstLen = mb.FirstCycles, mb.FirstClass, mb.FirstLen
-		b.MicroOK = true
-		b.Micro, b.LFlags, b.SFlags, b.MaxDepth = mb.Micro, mb.LFlags, mb.SFlags, mb.MaxDepth
-		b.Bounds, b.Segs, b.Mats = mb.Bounds, mb.Segs, mb.Mats
-		b.BLFlags, b.BSFlags = mb.BLFlags, mb.BSFlags
-		return b
 	}
-	// Fallback: the longest memory-free prefix from p. Its whole cost is
-	// static, so it charges in one step and the stack-walking replay
-	// covers a second lowering bail.
-	q := p
-	for q < pe && !memOp(code[q].Op) {
-		q++
+	if term != nil {
+		pops, _ := stackEffect(term.Op)
+		entry = max(entry, pops-depth)
 	}
-	if q == p {
-		return noBlock
-	}
-	for r := p; r < q; r++ {
+	b := compileMicro(code[p:pe], term, entry)
+	b.Len, b.Target = int32(pe-p), int32(pe)
+	if term != nil {
 		b.Len++
-		b.Cycles += uint64(code[r].Cost)
-		b.ClassCycles[code[r].Op.Class()] += uint64(code[r].Cost)
-		b.StackDelta += stackDeltaOf(code[r].Op)
-	}
-	b.terminate(q, pe, term)
-	var fterm *isa.Instr
-	if q == pe && term != nil {
-		fterm = term
-		b.Cycles += uint64(term.Cost)
-		b.ClassCycles[term.Op.Class()] += uint64(term.Cost)
-	}
-	b.FirstLen = b.Len
-	if fmb, fok := compileMicro(code[p:q], fterm); fok {
-		b.MicroOK = true
-		b.Micro, b.LFlags, b.SFlags, b.MaxDepth = fmb.Micro, fmb.LFlags, fmb.SFlags, fmb.MaxDepth
+		b.End, _ = terminalOf(term.Op)
+		if term.Op == isa.OpGoto {
+			b.Target = term.A
+		} else {
+			b.Target, b.Cond = term.B, term.A
+		}
 	}
 	return b
-}
-
-// terminate sets the exit of a block whose replayable part ends at q.
-// Only a block reaching the run's replayable end pe takes the run's
-// terminal: Len and StackDelta count it, End holds its kind and Target
-// its destination (Cond its condition code). Any other block falls
-// through to q.
-func (b *Superblock) terminate(q, pe int, term *isa.Instr) {
-	if q != pe || term == nil {
-		b.Target = int32(q)
-		return
-	}
-	b.Len++
-	b.StackDelta += stackDeltaOf(term.Op)
-	b.End, _ = terminalOf(term.Op)
-	if term.Op == isa.OpGoto {
-		b.Target = term.A
-	} else {
-		b.Target, b.Cond = term.B, term.A
-	}
 }

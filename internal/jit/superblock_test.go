@@ -69,17 +69,21 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		}
 		var cycles uint64
 		var classes [isa.NumClasses]uint64
-		var delta int32
+		var depth, entry int32
 		for q := p; q < end; q++ {
 			cycles += uint64(cm.Code[q].Cost)
 			classes[cm.Code[q].Op.Class()] += uint64(cm.Code[q].Cost)
-			delta += stackDeltaOf(cm.Code[q].Op)
+			pops, pushes := stackEffect(cm.Code[q].Op)
+			entry = max(entry, pops-depth)
+			depth += pushes - pops
 		}
 		if b.Cycles != cycles || b.ClassCycles != classes {
 			t.Fatalf("pc %d: cost vector mismatch: %+v", p, b)
 		}
-		if b.StackDelta != delta {
-			t.Fatalf("pc %d: StackDelta=%d want %d", p, b.StackDelta, delta)
+		// A suffix entered mid-expression consumes operands pushed before
+		// it; StackDelta is the final depth above the base below them.
+		if b.Entry != entry || b.StackDelta != entry+depth {
+			t.Fatalf("pc %d: Entry=%d StackDelta=%d want %d/%d", p, b.Entry, b.StackDelta, entry, entry+depth)
 		}
 	}
 	if cm.Block(end).Len != 0 {
@@ -88,9 +92,9 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 }
 
 // TestSuperblockBoundaries checks that calls, returns and allocations
-// end blocks and never start or join one, that memory ops never start
-// a block (they may be absorbed mid-block), and that a conditional
-// branch appears only as a block's terminal instruction.
+// end blocks and never start or join one, that a memory op may start a
+// block (its operands are entry slots), and that a conditional branch
+// appears only as a block's terminal instruction.
 func TestSuperblockBoundaries(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
 		done := a.NewLabel()
@@ -114,9 +118,14 @@ func TestSuperblockBoundaries(t *testing.T) {
 	}
 	for i, in := range cm.Code {
 		switch in.Op {
-		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
+		case isa.OpNewArray, isa.OpReturn:
 			if cm.Block(i).Len != 0 {
 				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.Block(i).Len)
+			}
+		case isa.OpArrayLen:
+			if b := cm.Block(i); b.Len != 1 || b.FirstLen != 0 || b.Entry != 1 || b.StackDelta != 1 {
+				t.Errorf("arraylen at %d must start a Len-1 block with an empty first segment "+
+					"over one entry slot: %+v", i, b)
 			}
 		}
 		if b := cm.Block(i); b.Len > 0 {
@@ -135,11 +144,12 @@ func TestSuperblockBoundaries(t *testing.T) {
 }
 
 // TestSuperblockMemoryAbsorption checks a memory op is absorbed
-// mid-block — never starting one — and that the block's segmented cost
-// shape is consistent: the first-segment vector covers exactly the
-// instructions before the first boundary, each MemBound carries the
-// memory op's own static cost, and FirstLen + segment lengths +
-// boundary count add back up to Len.
+// mid-block and that the block's segmented cost shape is consistent:
+// the first-segment vector covers exactly the instructions before the
+// first boundary, each MemBound carries the memory op's own static
+// cost, and FirstLen + segment lengths + boundary count add back up to
+// Len. A block may also start on the memory op itself, with an empty
+// first segment and the op's operands as entry slots.
 func TestSuperblockMemoryAbsorption(t *testing.T) {
 	code := []isa.Instr{
 		{Op: isa.OpLoadLocal, A: 0, Cost: 1},              // arr
@@ -150,15 +160,16 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
 	cm := codeMethod(code)
-	if b := cm.Block(2); b.Len != 0 {
-		t.Errorf("memory op must not start a block: %+v", b)
+	if b := cm.Block(2); b.Len != 3 || b.Entry != 2 || b.StackDelta != 1 ||
+		b.FirstLen != 0 || b.Cycles != 0 || len(b.Bounds) != 1 ||
+		b.Bounds[0].RelIdx != 0 || b.Bounds[0].SPAtOp != 2 ||
+		b.Bounds[0].SPTrap != 0 || b.Bounds[0].SPAfter != 1 {
+		t.Errorf("block on the load: want Len 3 over 2 entry slots, empty first segment, "+
+			"boundary at 0 with SP 2/0/1 and final depth 1: %+v", b)
 	}
 	b := cm.Block(0)
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
-	}
-	if !b.MicroOK {
-		t.Fatalf("absorbed block must lower to micro-ops: %+v", b)
 	}
 	if len(b.Bounds) != 1 || len(b.Segs) != 1 {
 		t.Fatalf("want 1 boundary and 1 trailing segment, got %d/%d", len(b.Bounds), len(b.Segs))
@@ -183,10 +194,55 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 	}
 }
 
+// TestSuperblockMidExpressionEntry checks the shape of a block entered
+// mid-expression, as after a call returns into `x = f() * 3 + a[i]`:
+// the multiply pops the call's result, pushed before the block, and the
+// array load pops the array ref loaded before it. Both are entry slots,
+// so the block lowers with every stack depth measured from its base,
+// and it ends where the statement does, having drained them: the run's
+// tail is the block that starts there.
+func TestSuperblockMidExpressionEntry(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.OpLoadLocal, A: 0, Cost: 1},              // a
+		{Op: isa.OpLoadLocal, A: 1, Cost: 1},              // f() result stands in
+		{Op: isa.OpPushConst, A: 3, Cost: 1},              // block entry
+		{Op: isa.OpMulI, Cost: 2},                         // pops the pre-entry value
+		{Op: isa.OpALoad, A: int32(isa.ElemInt), Cost: 6}, // pops the pre-entry ref
+		{Op: isa.OpStoreLocal, A: 2, Cost: 1},             // statement ends
+		{Op: isa.OpLoadLocal, A: 2, Cost: 1},              // the next one
+		{Op: isa.OpStoreLocal, A: 3, Cost: 1},             //
+		{Op: isa.OpReturn, Cost: 2},                       // ends the run
+	}
+	cm := codeMethod(code)
+	b := cm.Block(2)
+	if b.Len != 4 || b.Target != 6 || b.End != EndFall || b.Entry != 2 || b.StackDelta != 0 ||
+		b.FirstLen != 2 || b.Cycles != 3 {
+		t.Fatalf("want Len 4 falling through to 6, Entry 2, StackDelta 0, "+
+			"first segment 2 instrs/3 cycles: %+v", b)
+	}
+	// A block entered with nothing pending runs to the run's end.
+	if b0 := cm.Block(0); b0.Len != 8 || b0.Entry != 0 {
+		t.Errorf("block at 0: want Len 8 over no entry slots: %+v", b0)
+	}
+	if len(b.Bounds) != 1 {
+		t.Fatalf("want one boundary: %+v", b.Bounds)
+	}
+	// At the load: entry ref in slot 0, product in slot 1; the trap
+	// depth pops both and the result lands in slot 0.
+	if bd := b.Bounds[0]; bd.RelIdx != 2 || bd.SPAtOp != 2 || bd.SPTrap != 0 || bd.SPAfter != 1 {
+		t.Errorf("boundary shape: %+v", bd)
+	}
+	// The product reads entry slot 1 and lands at its stepped position.
+	if m := b.Micro[0]; m.Code != MMulI || m.D != 1 || m.A != 1 || m.B != MicroImm || m.Imm != 3 {
+		t.Errorf("first micro-op: %+v", m)
+	}
+}
+
 // TestSuperblockConditionalTermination checks a conditional branch
 // joins its preceding pure run as the terminal instruction: Len and
 // StackDelta count it, Target holds the taken destination, Cond the
-// condition code, and the branch alone also forms a Len-1 block.
+// condition code, and the branch alone also forms a Len-1 block whose
+// comparison operands are entry slots.
 func TestSuperblockConditionalTermination(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
 		done := a.NewLabel()
@@ -220,8 +276,8 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if lone := cm.Block(brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
-		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, StackDelta -2", lone)
+	if lone := cm.Block(brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.Entry != 2 || lone.StackDelta != 0 {
+		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, Entry 2, StackDelta 0", lone)
 	}
 }
 

@@ -71,7 +71,7 @@ func genIntProgram(rng *rand.Rand, n int) (func() *classfile.Program, int32) {
 			ops = append(ops, pushConst())
 			depth++
 		default:
-			switch rng.Intn(12) {
+			switch rng.Intn(16) {
 			case 0:
 				ops = append(ops, pushConst())
 				depth++
@@ -141,6 +141,46 @@ func genIntProgram(rng *rand.Rand, n int) (func() *classfile.Program, int32) {
 						mirror: func(s []int32) []int32 { s[len(s)-1] = int32(uint16(s[len(s)-1])); return s },
 					})
 				}
+			// Stack shuffles. The superblock fast path leaves swap,
+			// dup_x1 and dup_x2 to step and lowers dup2, so these put
+			// both paths and the block boundaries around them under test.
+			case 12:
+				ops = append(ops, op{
+					emit: func(a *classfile.Asm) { a.Swap() },
+					mirror: func(s []int32) []int32 {
+						n := len(s)
+						s[n-1], s[n-2] = s[n-2], s[n-1]
+						return s
+					},
+				})
+			case 13: // ..., b, a -> ..., a, b, a
+				ops = append(ops, op{
+					emit: func(a *classfile.Asm) { a.DupX1() },
+					mirror: func(s []int32) []int32 {
+						n := len(s)
+						return append(s[:n-2], s[n-1], s[n-2], s[n-1])
+					},
+				})
+				depth++
+			case 14: // ..., c, b, a -> ..., a, c, b, a
+				if depth < 3 {
+					ops = append(ops, pushConst())
+				} else {
+					ops = append(ops, op{
+						emit: func(a *classfile.Asm) { a.DupX2() },
+						mirror: func(s []int32) []int32 {
+							n := len(s)
+							return append(s[:n-3], s[n-1], s[n-3], s[n-2], s[n-1])
+						},
+					})
+				}
+				depth++
+			case 15: // ..., b, a -> ..., b, a, b, a
+				ops = append(ops, op{
+					emit:   func(a *classfile.Asm) { a.Dup2() },
+					mirror: func(s []int32) []int32 { n := len(s); return append(s, s[n-2], s[n-1]) },
+				})
+				depth += 2
 			}
 		}
 	}

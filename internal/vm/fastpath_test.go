@@ -92,6 +92,33 @@ func TestFastPathMatchesDisabled(t *testing.T) {
 	}
 }
 
+// TestFastPathQuantumAllocsZero gates the fast path's host
+// allocations: once the hot loop's blocks are built and the replay's
+// scratch has grown, executing one more quantum allocates nothing.
+func TestFastPathQuantumAllocsZero(t *testing.T) {
+	vmach, err := New(testConfig(), hotLoopProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := vmach.Machine.Cores()[0]
+	cm, _, err := vmach.compileFor(core.Kind, vmach.Prog.Lookup("Hot").MethodByName("main"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := &Thread{ID: 99, Name: "hot", State: StateRunning, Frames: []*Frame{newFrame(cm)}}
+	vmach.execute(core, th, 5000) // warm: builds the loop's blocks
+	ff := core.Stats.FastForwardedBlocks
+	if allocs := testing.AllocsPerRun(20, func() { vmach.execute(core, th, 1000) }); allocs != 0 {
+		t.Errorf("one warm quantum allocates %v times, want 0", allocs)
+	}
+	if th.State != StateRunning {
+		t.Fatalf("the loop finished during the measurement (state %v)", th.State)
+	}
+	if core.Stats.FastForwardedBlocks == ff {
+		t.Fatal("the measured quanta never took the fast path")
+	}
+}
+
 // TestBlocksBuiltOnFirstEntry runs a method whose branch always skips
 // a pure run and checks the run's blocks were never built: a block is
 // built when execution first enters it, not when its method compiles.

@@ -231,6 +231,9 @@ type VM struct {
 
 	// sbOff caches Cfg.DisableSuperblocks for the executor's hot loop.
 	sbOff bool
+	// flagBuf is runMicro's reference-flag scratch, grown to the largest
+	// Superblock.FlagBuf replayed so far.
+	flagBuf []bool
 
 	// adapt holds adaptive-cache controller state, indexed by
 	// Core.Index (entries for hardware-cached cores are unused).
